@@ -39,60 +39,30 @@ func allocsPerRun(f func()) float64 {
 
 // TestSelectEdgeAllocFree gates the §3.4 selection sweep: both the cold
 // sweep (every net rescored through the dirty-net bitset) and the warm
-// sweep (every score served from the per-net cache) must not allocate.
+// sweep (every score served from the per-net cache) must not allocate,
+// sequentially and through the parallel scoring pool. allocsPerRun's
+// warm-up sweep creates the per-worker scratches before measuring.
 func TestSelectEdgeAllocFree(t *testing.T) {
 	ckt := loadDataset(t, "C1P1")
-	p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := allocsPerRun(func() {
-		p.InvalidateAll()
-		if _, _, ok := p.SelectEdge(false); !ok {
-			t.Fatal("no candidate")
-		}
-	}); got != 0 {
-		t.Errorf("cold SelectEdge sweep: %.1f allocs/op, want 0", got)
-	}
-	if got := allocsPerRun(func() {
-		if _, _, ok := p.SelectEdge(false); !ok {
-			t.Fatal("no candidate")
-		}
-	}); got != 0 {
-		t.Errorf("warm SelectEdge sweep: %.1f allocs/op, want 0", got)
-	}
-}
-
-// TestSelectRoundAllocFree gates the sharded round protocol: one full
-// selection round — parallel per-shard scans, the deterministic top-k
-// merge, and the first verified commit pick — must not allocate, cold or
-// warm, sequential or through the worker pool. The round buffers are
-// preallocated in setupShards; this test is what keeps them that way.
-func TestSelectRoundAllocFree(t *testing.T) {
-	ckt := loadDataset(t, "C1P1")
-	for _, tc := range []struct {
-		tag     string
-		workers int
-		shards  int
-	}{{"seq", 1, 1}, {"sharded", 2, 4}} {
-		p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: tc.workers, Shards: tc.shards})
+	for _, workers := range []int{1, 2} {
+		p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := allocsPerRun(func() {
 			p.InvalidateAll()
-			if _, _, ok := p.SelectRound(false); !ok {
+			if _, _, ok := p.SelectEdge(false); !ok {
 				t.Fatal("no candidate")
 			}
 		}); got != 0 {
-			t.Errorf("%s: cold SelectRound: %.1f allocs/op, want 0", tc.tag, got)
+			t.Errorf("workers=%d: cold SelectEdge sweep: %.1f allocs/op, want 0", workers, got)
 		}
 		if got := allocsPerRun(func() {
-			if _, _, ok := p.SelectRound(false); !ok {
+			if _, _, ok := p.SelectEdge(false); !ok {
 				t.Fatal("no candidate")
 			}
 		}); got != 0 {
-			t.Errorf("%s: warm SelectRound: %.1f allocs/op, want 0", tc.tag, got)
+			t.Errorf("workers=%d: warm SelectEdge sweep: %.1f allocs/op, want 0", workers, got)
 		}
 	}
 }

@@ -75,29 +75,6 @@ type router struct {
 	selStat selStats
 	timStat timStats
 
-	// Sharded round selection (see shard.go). shardOf maps each net to its
-	// channel-band shard; shardSt holds the per-shard scan state. The
-	// round* fields are the current commit round: the merged speculative
-	// list, the commit cursor, the kept-net footprint, and the revised-set
-	// bitset + list roundRefresh feeds and roundNext consults. All buffers
-	// are sized once in setupShards so the round loop never allocates.
-	shardSt  []*shardState
-	shardOf  []int32
-	mergeIdx []int32        // per-shard merge cursors (mergeRound scratch)
-	scanB    shardScanBatch // reusable parallel-scan batch (workpool task)
-	//bgr:owned -- reusable mergeRound commit list
-	roundList []rankedCand
-	roundPos  int
-	//bgr:owned -- reusable mergeRound kept-net footprint
-	roundNets []int32
-	revBits   []uint64
-	//bgr:owned -- reusable revised-set list (markRevised/roundNext)
-	revList []int32
-	//bgr:owned -- reusable roundRefresh stale buffer
-	roundStale []int32
-	//bgr:owned -- reusable roundRefresh unit buffer
-	roundUnits []int32
-
 	// trunkCnt[ch*nNets+n] counts net n's alive trunk edges in channel ch
 	// (flat row-major); the area phase uses it to visit only nets present
 	// in the max channel.
@@ -426,7 +403,6 @@ func (r *router) buildIndexes() {
 	for n := range r.graphs {
 		r.recomputeNetChans(n)
 	}
-	r.setupShards()
 }
 
 // recomputeNetChans rebuilds net n's channel set: every channel any of its
@@ -449,9 +425,7 @@ func (r *router) recomputeNetChans(n int) {
 }
 
 // nextChanGen advances the chanMark generation, handling wrap-around so a
-// stale stamp can never read as current. Both channel-dedup users
-// (recomputeNetChans, mergeRound's footprint marking) draw generations
-// from here; each use is sequential, so sharing the stamp array is safe.
+// stale stamp can never read as current.
 func (r *router) nextChanGen() int32 {
 	r.chanGen++
 	if r.chanGen == 0 { // wrapped: stale stamps could read as current
@@ -711,41 +685,31 @@ func (r *router) deleteEdge(n, e int) error {
 }
 
 // initialRouting is the Fig. 2 lines 04-07 loop: repeatedly select a
-// non-bridge edge over all nets with the §3.4 heuristics and delete it.
-// The selection runs in sharded rounds (shard.go): selectRound scans the
-// shards in parallel and builds a speculative non-interacting commit
-// list, roundNext verifies and yields one commit at a time, and
-// roundRefresh re-establishes the invariant after each deletion — the
-// commit sequence equals the sequential selectEdge schedule exactly, so
-// output bytes are independent of Config.Workers and Config.Shards.
+// non-bridge edge over all nets with the §3.4 heuristics and delete it,
+// one selectEdge argmin per deletion. selectEdge re-scores only the nets
+// the previous deletion invalidated (fanning them out across
+// Config.Workers) and runs the cross-net argmin sequentially, so the
+// deletion sequence and the output bytes are independent of the worker
+// count.
 func (r *router) initialRouting(ps *PhaseStat) error {
 	areaOrder := r.cfg.AreaFirst
 	for {
 		if err := r.check(); err != nil {
 			return err
 		}
-		if !r.selectRound(areaOrder) {
+		best, ok := r.selectEdge(nil, areaOrder)
+		if !ok {
 			return nil
 		}
-		for {
-			best, ok := r.roundNext(areaOrder)
-			if !ok {
-				break
-			}
-			kind := r.edgeOf(best).Kind
-			if err := r.deleteEdge(int(best.net), int(best.edge)); err != nil {
-				return err
-			}
-			ps.Deletions++
-			if int(kind) < len(ps.ByKind) {
-				ps.ByKind[kind]++
-			}
-			r.emitPhase(ps)
-			if err := r.check(); err != nil {
-				return err
-			}
-			r.roundRefresh(areaOrder)
+		kind := r.edgeOf(best).Kind
+		if err := r.deleteEdge(int(best.net), int(best.edge)); err != nil {
+			return err
 		}
+		ps.Deletions++
+		if int(kind) < len(ps.ByKind) {
+			ps.ByKind[kind]++
+		}
+		r.emitPhase(ps)
 	}
 }
 
