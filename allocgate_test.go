@@ -39,31 +39,27 @@ func allocsPerRun(f func()) float64 {
 
 // TestSelectEdgeAllocFree gates the §3.4 selection sweep: both the cold
 // sweep (every net rescored through the dirty-net bitset) and the warm
-// sweep (every score served from the per-net cache) must not allocate,
-// sequentially and through the parallel scoring pool. allocsPerRun's
-// warm-up sweep creates the per-worker scratches before measuring.
+// sweep (every score served from the per-net cache) must not allocate.
 func TestSelectEdgeAllocFree(t *testing.T) {
 	ckt := loadDataset(t, "C1P1")
-	for _, workers := range []int{1, 2} {
-		p, err := core.NewProbe(ckt, core.Config{UseConstraints: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	p, err := core.NewProbe(ckt, core.Config{UseConstraints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := allocsPerRun(func() {
+		p.InvalidateAll()
+		if _, _, ok := p.SelectEdge(false); !ok {
+			t.Fatal("no candidate")
 		}
-		if got := allocsPerRun(func() {
-			p.InvalidateAll()
-			if _, _, ok := p.SelectEdge(false); !ok {
-				t.Fatal("no candidate")
-			}
-		}); got != 0 {
-			t.Errorf("workers=%d: cold SelectEdge sweep: %.1f allocs/op, want 0", workers, got)
+	}); got != 0 {
+		t.Errorf("cold SelectEdge sweep: %.1f allocs/op, want 0", got)
+	}
+	if got := allocsPerRun(func() {
+		if _, _, ok := p.SelectEdge(false); !ok {
+			t.Fatal("no candidate")
 		}
-		if got := allocsPerRun(func() {
-			if _, _, ok := p.SelectEdge(false); !ok {
-				t.Fatal("no candidate")
-			}
-		}); got != 0 {
-			t.Errorf("workers=%d: warm SelectEdge sweep: %.1f allocs/op, want 0", workers, got)
-		}
+	}); got != 0 {
+		t.Errorf("warm SelectEdge sweep: %.1f allocs/op, want 0", got)
 	}
 }
 
@@ -77,7 +73,6 @@ func TestTimingFlushAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := dg.NewTiming()
-	tm.Workers = 1
 	wl := make([]float64, len(ckt.Nets))
 	for i := range wl {
 		wl[i] = 300

@@ -1,14 +1,13 @@
-// Determinism tests for the parallel candidate-scoring engine: the routed
-// result must be byte-identical for every worker count, on every data set,
-// in both routing modes. The engine's only nondeterminism risk is the
-// cross-net argmin, which is computed sequentially from cached per-net
-// keys precisely so that worker scheduling cannot leak into the result.
+// Determinism tests for the routing engine: the routed result must be
+// byte-identical from run to run, on every data set, in both routing
+// modes, including when several routers run side by side as they do in
+// the service's job pool.
 package repro_test
 
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/chanroute"
@@ -18,7 +17,7 @@ import (
 	"repro/internal/routedb"
 )
 
-// routedbJSON routes with the given worker count and renders the complete
+// routedbJSON routes with the given config and renders the complete
 // routing database, the strictest byte-level fingerprint of a run.
 func routedbJSON(t *testing.T, ckt *circuit.Circuit, cfg core.Config) []byte {
 	t.Helper()
@@ -61,8 +60,8 @@ func fingerprint(t *testing.T, res *core.Result) []byte {
 }
 
 // TestReOptimizeDeterministic exercises the ECO path: route once, then
-// re-optimize the same result with every worker-pool size and require
-// byte-identical routedb JSON. This covers the rip-up-and-reroute
+// re-optimize the same result three times and require byte-identical
+// routedb JSON. This covers the rip-up-and-reroute
 // save/restore sweeps (tryReroute, reallocFeeds), which run far more often
 // under ReOptimize than during a fresh route.
 func TestReOptimizeDeterministic(t *testing.T) {
@@ -74,13 +73,14 @@ func TestReOptimizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Route(ckt, core.Config{UseConstraints: true, Workers: 1})
+	cfg := core.Config{UseConstraints: true}
+	base, err := core.Route(ckt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []byte
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		res, err := core.ReOptimize(base, core.Config{UseConstraints: true, Workers: w})
+	for i := 0; i < 3; i++ {
+		res, err := core.ReOptimize(base, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,20 +90,22 @@ func TestReOptimizeDeterministic(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("ReOptimize with workers=%d differs from workers=1 (%d vs %d bytes)",
-				w, len(got), len(want))
+			t.Fatalf("ReOptimize run %d differs from the first (%d vs %d bytes)",
+				i+1, len(got), len(want))
 		}
 	}
 }
 
 // TestParallelScoringDeterministic routes every data set in both modes
-// with the sequential scorer (Workers=1) and with parallel worker pools,
-// and requires byte-identical routedb JSON.
+// once alone and then twice side by side on two goroutines — the way the
+// service's job pool runs routers, each scoring on its own goroutine —
+// and requires byte-identical routedb JSON from all three. Under -race it
+// also checks that routers running in parallel share no mutable state.
+// (The name predates the removal of the per-run scoring pool.)
 func TestParallelScoringDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset sweep in -short mode")
 	}
-	pools := []int{2, runtime.GOMAXPROCS(0)}
 	for _, name := range gen.DatasetNames() {
 		p, err := gen.Dataset(name)
 		if err != nil {
@@ -115,12 +117,26 @@ func TestParallelScoringDeterministic(t *testing.T) {
 		}
 		for _, use := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/constraints=%v", name, use), func(t *testing.T) {
-				want := routedbJSON(t, ckt, core.Config{UseConstraints: use, Workers: 1})
-				for _, w := range pools {
-					got := routedbJSON(t, ckt, core.Config{UseConstraints: use, Workers: w})
-					if !bytes.Equal(got, want) {
-						t.Fatalf("workers=%d routed differently from workers=1 (%d vs %d bytes)",
-							w, len(got), len(want))
+				cfg := core.Config{UseConstraints: use}
+				want := routedbJSON(t, ckt, cfg)
+				var results [2]*core.Result
+				var errs [2]error
+				var wg sync.WaitGroup
+				for i := range results {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						results[i], errs[i] = core.Route(ckt, cfg)
+					}(i)
+				}
+				wg.Wait()
+				for i, res := range results {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					if got := fingerprint(t, res); !bytes.Equal(got, want) {
+						t.Fatalf("parallel route %d differs from the route alone (%d vs %d bytes)",
+							i, len(got), len(want))
 					}
 				}
 			})

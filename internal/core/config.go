@@ -87,14 +87,6 @@ type Config struct {
 	// the free slots nearest its terminal center.
 	NoFeedReroute bool
 
-	// Workers bounds the worker pool that re-scores invalidated nets
-	// during edge selection (selectEdge, in every phase). 0 means one
-	// worker per available CPU; 1 runs fully sequentially. The routed
-	// result is identical for every value — scoring units are
-	// data-disjoint and the cross-net argmin is always sequential — so
-	// this only trades wall-clock for cores.
-	Workers int
-
 	// Trace, when non-nil, receives a phase-by-phase log (Fig. 2 trace).
 	Trace io.Writer
 

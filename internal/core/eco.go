@@ -41,7 +41,6 @@ func ReOptimize(prev *Result, cfg Config) (*Result, error) {
 	}
 	r.buildIndexes()
 	r.tm = r.dg.NewTiming()
-	r.tm.Workers = cfg.Workers
 	if err := r.refreshTrees(allNets(nNets)); err != nil {
 		return nil, err
 	}

@@ -35,7 +35,6 @@ func fromShared(cfg engine.Config) Config {
 		MaxPasses:       cfg.MaxPasses,
 		Order:           cfg.Order,
 		NoFeedReroute:   cfg.NoFeedReroute,
-		Workers:         cfg.Workers,
 		Trace:           cfg.Trace,
 		Progress:        cfg.Progress,
 	}
@@ -49,7 +48,7 @@ type concurrentEngine struct{}
 func (concurrentEngine) Name() string { return engine.DefaultName }
 
 func (concurrentEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Progress: true, ECO: true, Phases: true, Workers: true}
+	return engine.Capabilities{Progress: true, ECO: true, Phases: true}
 }
 
 func (concurrentEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {

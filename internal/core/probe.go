@@ -76,14 +76,6 @@ func (p *Probe) DPrimeSweep() float64 {
 	return sum
 }
 
-// Stats reports the cumulative selection counters: sweeps run, per-net
-// scores recomputed, scores served from the incremental cache, and total
-// time inside SelectEdge.
-func (p *Probe) Stats() (calls, scored, reused int, dur time.Duration) {
-	s := p.r.selStat
-	return s.calls, s.scored, s.reused, s.dur
-}
-
 // TimingFlush marks the given nets' delays changed (re-deriving each
 // net's delay from its current tree) and flushes the dirty constraint
 // set, returning how many constraints were re-analyzed. It exercises the

@@ -64,16 +64,13 @@ type router struct {
 	// only the dirty few instead of version-checking every net.
 	dirtyBest   []uint64
 	chanNetBits [][]uint64
-	lastAreaOrd bool       // ordering of the previous selectEdge; a flip invalidates all
-	sc          *scratch   // sequential scoring scratch
-	scratches   []*scratch // per-worker scratches for parallel scoring
-	//bgr:owned -- reusable selectEdge buffer
-	staleBuf []int32
-	//bgr:owned -- reusable selectEdge buffer
-	unitBuf []int32
-	scoreB  scoreBatch // reusable parallel-scoring batch (workpool task)
-	selStat selStats
-	timStat timStats
+	lastAreaOrd bool // ordering of the previous selectEdge; a flip invalidates all
+	// consMark[p] == consGen marks constraint p as already counted for the
+	// candidate delayCriteria is evaluating.
+	consMark []int
+	consGen  int
+	selStat  selStats
+	timStat  timStats
 
 	// trunkCnt[ch*nNets+n] counts net n's alive trunk edges in channel ch
 	// (flat row-major); the area phase uses it to visit only nets present
@@ -346,7 +343,7 @@ func (r *router) initNetState(nNets int) {
 	for i := range r.slotOwner {
 		r.slotOwner[i] = -1
 	}
-	r.sc = r.newScratch()
+	r.consMark = make([]int, len(r.ckt.Cons))
 	r.nNets = nNets
 	r.trunkCnt = make([]int32, r.dens.Channels()*nNets)
 	r.chanMark = make([]int32, r.dens.Channels())
@@ -469,7 +466,6 @@ func (r *router) setup() error {
 	}
 	r.buildIndexes()
 	r.tm = r.dg.NewTiming()
-	r.tm.Workers = r.cfg.Workers
 	if err := r.refreshTrees(allNets(nNets)); err != nil {
 		return err
 	}
@@ -687,10 +683,7 @@ func (r *router) deleteEdge(n, e int) error {
 // initialRouting is the Fig. 2 lines 04-07 loop: repeatedly select a
 // non-bridge edge over all nets with the §3.4 heuristics and delete it,
 // one selectEdge argmin per deletion. selectEdge re-scores only the nets
-// the previous deletion invalidated (fanning them out across
-// Config.Workers) and runs the cross-net argmin sequentially, so the
-// deletion sequence and the output bytes are independent of the worker
-// count.
+// the previous deletion invalidated.
 func (r *router) initialRouting(ps *PhaseStat) error {
 	areaOrder := r.cfg.AreaFirst
 	for {

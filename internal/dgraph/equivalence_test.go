@@ -8,7 +8,6 @@ package dgraph_test
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/dgraph"
@@ -151,53 +150,6 @@ func TestFlushEquivalence(t *testing.T) {
 			}
 			inc.Flush()
 			checkIdentical(t, g, inc, freshFull(g, inc), "round")
-		}
-	}
-}
-
-// TestFlushEquivalenceWorkers stresses the parallel Flush across worker
-// counts (run with -race in CI): every Workers value must produce
-// bit-identical margins.
-func TestFlushEquivalenceWorkers(t *testing.T) {
-	p, err := gen.Dataset("C2P1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt, err := gen.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0), 0}
-	var ref *dgraph.Timing
-	for _, w := range workers {
-		g, err := dgraph.New(ckt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm := g.NewTiming()
-		tm.Workers = w
-		tm.SetLumped(lumped(len(ckt.Nets), 1))
-		tm.Flush()
-		rng := rand.New(rand.NewSource(4242))
-		for round := 0; round < 20; round++ {
-			for i := 0; i < 3; i++ {
-				tm.SetNetLumped(rng.Intn(len(ckt.Nets)), 5+rng.Float64()*900)
-			}
-			tm.Flush()
-		}
-		if ref == nil {
-			ref = tm
-			continue
-		}
-		for p := range tm.Cons {
-			if math.Float64bits(tm.Cons[p].Margin) != math.Float64bits(ref.Cons[p].Margin) {
-				t.Fatalf("Workers=%d: cons %d margin %v != Workers=1 margin %v",
-					w, p, tm.Cons[p].Margin, ref.Cons[p].Margin)
-			}
-			if math.Float64bits(tm.Cons[p].Worst) != math.Float64bits(ref.Cons[p].Worst) {
-				t.Fatalf("Workers=%d: cons %d worst %v != Workers=1 worst %v",
-					w, p, tm.Cons[p].Worst, ref.Cons[p].Worst)
-			}
 		}
 	}
 }

@@ -6,8 +6,7 @@
 // Three engines implement it:
 //
 //   - "concurrent" (internal/core): the paper's concurrent edge-deletion
-//     router, the default. Highest quality; supports ECO re-optimization
-//     and byte-identical results across worker counts.
+//     router, the default. Highest quality; supports ECO re-optimization.
 //   - "sequential" (internal/seqroute): the net-at-a-time baseline the
 //     paper argues against. Fast drafts, no global margin tracking.
 //   - "steiner" (internal/steiner): timing-constrained cost-distance
@@ -44,16 +43,12 @@ type Capabilities struct {
 	ECO bool
 	// Phases: the engine fills Result.Phases with per-phase statistics.
 	Phases bool
-	// Workers: the engine honors Config.Workers with intra-run
-	// parallelism. Engines without it clamp to one worker (results are
-	// byte-identical either way; this only tells callers whether extra
-	// cores buy wall-clock).
-	Workers bool
 }
 
 // Engine is one global-routing algorithm behind the shared substrate.
 // Implementations must be stateless values: Route may be called
-// concurrently from many service workers.
+// concurrently from many service workers, and each call routes on its
+// calling goroutine.
 type Engine interface {
 	// Name is the registry key ("concurrent", "sequential", "steiner").
 	Name() string
@@ -61,8 +56,7 @@ type Engine interface {
 	Capabilities() Capabilities
 	// Route routes a validated circuit under cfg. The run aborts between
 	// routing steps when ctx is cancelled. Results must be deterministic:
-	// byte-identical routedb output for identical (circuit, cfg) inputs,
-	// for every Workers value.
+	// byte-identical routedb output for identical (circuit, cfg) inputs.
 	Route(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, error)
 }
 

@@ -86,12 +86,6 @@ type Config struct {
 	// (concurrent engine only; ablation A6).
 	NoFeedReroute bool
 
-	// Workers bounds intra-run parallelism (concurrent engine's
-	// candidate re-scoring pool; 0 = one per CPU, 1 = sequential). The
-	// routed result is byte-identical for every value on every engine —
-	// sequential and steiner ignore it entirely.
-	Workers int
-
 	// Alpha scales the congestion penalty of the per-net engines
 	// (sequential, steiner); 0 means the engine default (0.35). The
 	// concurrent engine ignores it.

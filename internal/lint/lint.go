@@ -1,7 +1,7 @@
 // Package lint is bgr's repo-specific static analysis suite: the
 // compile-time half of the determinism contract that determinism_test.go
-// checks dynamically (byte-identical routedb output for every worker
-// count) and that docs/PERF.md's invalidation rules assume.
+// checks dynamically (byte-identical routedb output on every rerun) and
+// that docs/PERF.md's invalidation rules assume.
 //
 // The suite is built on the standard library only — packages are loaded
 // with `go list -export -json`, parsed with go/parser and type-checked

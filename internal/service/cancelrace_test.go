@@ -31,23 +31,16 @@ func TestCancelRaceSlotRelease(t *testing.T) {
 	variant := func(i int) string {
 		return strings.Replace(cktText, "circuit invchain", fmt.Sprintf("circuit invchain%d", i), 1)
 	}
-	// waitSlotFree polls until the hash's in-flight slot no longer points
-	// at job j: Done() closes inside finish, a moment before jobFinished
-	// releases the slot, so the release is only observable shortly after
-	// Wait returns.
-	waitSlotFree := func(hash string, j *Job) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			svc.mu.Lock()
-			cur := svc.inflight[hash]
-			svc.mu.Unlock()
-			if cur != j {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("dedupe slot for %s still held by terminal job %s", hash, j.ID)
-			}
-			time.Sleep(time.Millisecond)
+	// slotFree checks that the hash's in-flight slot no longer points at
+	// job j. Every terminal transition releases the slot under the
+	// server lock before Done() can be observed closed, so no polling is
+	// needed once Wait has returned.
+	slotFree := func(hash string, j *Job) {
+		svc.mu.Lock()
+		cur := svc.inflight[hash]
+		svc.mu.Unlock()
+		if cur == j {
+			t.Fatalf("dedupe slot for %s still held by terminal job %s", hash, j.ID)
 		}
 	}
 
@@ -70,7 +63,7 @@ func TestCancelRaceSlotRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-done
-		waitSlotFree(j.Hash, j)
+		slotFree(j.Hash, j)
 
 		resub, err := svc.Submit(SubmitRequest{Circuit: variant(i)})
 		if err != nil {
@@ -115,5 +108,54 @@ func TestCancelRaceSlotRelease(t *testing.T) {
 	}
 	if len(terminals) == 0 {
 		t.Fatal("no terminal records journaled; the audit asserted nothing")
+	}
+}
+
+// TestResubmitAfterWaitIsCached pins the completion order of a finished
+// job: the result is cached and the dedupe slot released before Done()
+// closes, so a resubmission issued the moment Wait returns is a cache
+// hit every time — never a dedup onto the job that just finished. A
+// goroutine contending for the server lock widens the window in which
+// a completion that published after closing Done() would be caught.
+// Run under -race in CI.
+func TestResubmitAfterWaitIsCached(t *testing.T) {
+	cktText := readExample(t)
+	svc := New(Options{Workers: 1, Logf: silentLogf})
+	defer svc.Shutdown(context.Background())
+
+	stop := make(chan struct{})
+	contended := make(chan struct{})
+	go func() {
+		defer close(contended)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				svc.Metrics()
+			}
+		}
+	}()
+	defer func() { close(stop); <-contended }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const iters = 200
+	for i := 0; i < iters; i++ {
+		req := SubmitRequest{Circuit: strings.Replace(cktText, "circuit invchain", fmt.Sprintf("circuit invchain%d", i), 1)}
+		sub, err := svc.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := svc.Wait(ctx, sub.Job.ID); err != nil || st.State != Done {
+			t.Fatalf("iter %d: err=%v state=%s (%s)", i, err, st.State, st.Error)
+		}
+		again, err := svc.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Cached {
+			t.Fatalf("iter %d: resubmission right after Wait was not a cache hit (deduped=%v)", i, again.Deduped)
+		}
 	}
 }

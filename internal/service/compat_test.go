@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,16 +12,20 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/journal"
+	"repro/internal/wire"
 )
 
 // TestRemovedShardConfig pins the compatibility contract of the removed
-// config.shards knob. Journals written while it existed may carry it, and
-// replay decodes records with json.Unmarshal, which ignores unknown
-// fields: such a journal must still replay and serve the job's routedb
-// byte-identically. New submissions decode with DisallowUnknownFields, so
-// a request that still sends "shards" is refused with 400 rather than
-// silently accepted.
+// config knobs, config.shards and config.workers. Journals written while
+// they existed may carry them, and replay decodes records with
+// json.Unmarshal, which ignores unknown fields: such a journal must
+// still replay and serve the job's routedb byte-identically. New
+// submissions decode with DisallowUnknownFields, so a request that still
+// sends a removed field is refused — 400 over HTTP, CodeBadRequest over
+// wire v2 — with a message naming the field, rather than silently
+// accepted.
 func TestRemovedShardConfig(t *testing.T) {
 	ckt := readExample(t)
 	dir := t.TempDir()
@@ -35,9 +40,6 @@ func TestRemovedShardConfig(t *testing.T) {
 	if err := svc1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	// Copy the journal, giving the submitted and terminal records a
-	// recorded config that still carries shards.
 	jl, recs, err := journal.Open(path, journal.SyncNone)
 	if err != nil {
 		t.Fatal(err)
@@ -45,69 +47,87 @@ func TestRemovedShardConfig(t *testing.T) {
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(dir, "legacy.journal")
-	out, _, err := journal.Open(legacy, journal.SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewritten := 0
-	for _, rec := range recs {
-		data := rec.Data
-		if rec.Kind == journal.KindSubmitted || rec.Kind == journal.KindTerminal {
-			var m map[string]any
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
-			m["config"] = map[string]any{"use_constraints": true, "shards": 4}
-			if data, err = json.Marshal(m); err != nil {
-				t.Fatal(err)
-			}
-			rewritten++
-		}
-		if err := out.Append(rec.Kind, data); err != nil {
+
+	for _, removed := range []struct {
+		field string
+		value int
+	}{{"shards", 4}, {"workers", 2}} {
+		legacyCfg := map[string]any{"use_constraints": true, removed.field: removed.value}
+
+		// Copy the journal, giving the submitted and terminal records a
+		// recorded config that still carries the removed field.
+		legacy := filepath.Join(dir, removed.field+".journal")
+		out, _, err := journal.Open(legacy, journal.SyncNone)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if rewritten != 2 {
-		t.Fatalf("rewrote %d submitted/terminal records, want 2", rewritten)
-	}
+		rewritten := 0
+		for _, rec := range recs {
+			data := rec.Data
+			if rec.Kind == journal.KindSubmitted || rec.Kind == journal.KindTerminal {
+				var m map[string]any
+				if err := json.Unmarshal(data, &m); err != nil {
+					t.Fatal(err)
+				}
+				m["config"] = legacyCfg
+				if data, err = json.Marshal(m); err != nil {
+					t.Fatal(err)
+				}
+				rewritten++
+			}
+			if err := out.Append(rec.Kind, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rewritten != 2 {
+			t.Fatalf("%s: rewrote %d submitted/terminal records, want 2", removed.field, rewritten)
+		}
 
-	svc2 := openJournaled(t, legacy)
-	ts := httptest.NewServer(svc2.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/jobs/" + j1.ID + "/routedb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotDB, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("routedb of replayed job: status %d: %s", resp.StatusCode, gotDB)
-	}
-	if !bytes.Equal(gotDB, wantDB) {
-		t.Fatal("routedb served after replaying a journal with shards differs from pre-restart bytes")
-	}
+		svc2 := openJournaled(t, legacy)
+		ts := httptest.NewServer(svc2.Handler())
+		resp, err := http.Get(ts.URL + "/jobs/" + j1.ID + "/routedb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotDB, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: routedb of replayed job: status %d: %s", removed.field, resp.StatusCode, gotDB)
+		}
+		if !bytes.Equal(gotDB, wantDB) {
+			t.Fatalf("routedb served after replaying a journal with %s differs from pre-restart bytes", removed.field)
+		}
 
-	body, err := json.Marshal(map[string]any{
-		"circuit": ckt,
-		"config":  map[string]any{"use_constraints": true, "shards": 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "shards") {
-		t.Fatalf("submission with shards: status %d: %s (want 400 naming the field)", resp.StatusCode, msg)
+		cfgJSON, err := json.Marshal(legacyCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(map[string]any{"circuit": ckt, "config": json.RawMessage(cfgJSON)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), removed.field) {
+			t.Fatalf("HTTP submission with %s: status %d: %s (want 400 naming the field)", removed.field, resp.StatusCode, msg)
+		}
+		ts.Close()
+
+		c := dialWire(t, startWire(t, svc2))
+		var re *wire.RemoteError
+		_, err = c.SubmitEngine(ckt, cfgJSON, engine.DefaultName, 0)
+		if !errors.As(err, &re) || re.Code != wire.CodeBadRequest || !strings.Contains(re.Msg, removed.field) {
+			t.Fatalf("wire v2 submission with %s: %v (want CodeBadRequest naming the field)", removed.field, err)
+		}
 	}
 }

@@ -60,6 +60,7 @@ func FuzzSubmit(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"circuit":"not a circuit"}`)
 	f.Add(`{"circuit":"circuit x\n","config":{"delay_model":"warp"}}`)
+	// workers is a removed config field: refused as unknown (400).
 	f.Add(`{"circuit":"circuit x\n","config":{"workers":-1,"max_passes":-9}}`)
 	f.Add(`{"circuit":"circuit x\n","config":{"r_per_um":-1e308}}`)
 	f.Add(`{"circuit":"` + strings.Repeat("n", 9000) + `"}`)

@@ -229,16 +229,16 @@ func (j *Job) finish(st State, errMsg, stack string, p *Payload, phases []PhaseI
 //
 //   - Cancel lands while Queued: this method moves the job to Cancelled
 //     under mu and reports cancelledNow=true, so Server.Cancel (the only
-//     caller acting on that flag) runs jobFinished exactly once. The
+//     caller acting on that flag) runs jobFinishedLocked exactly once. The
 //     worker that later dequeues the job observes begin() == false and
 //     returns without touching it.
 //   - Cancel lands while Running: this method only fires j.cancel; the
 //     worker's run returns with ctx.Err, and finishJob classifies it as
-//     Cancelled and runs jobFinished — again exactly one release, on the
-//     worker's path.
+//     Cancelled and runs jobFinishedLocked — again exactly one release,
+//     on the worker's path.
 //   - Cancel races the worker's finish: both paths funnel through
 //     j.finish / the transitions above under mu, and finish's
-//     Terminal() guard makes the loser a no-op that skips jobFinished.
+//     Terminal() guard makes the loser a no-op.
 //   - Double cancel: a terminal job falls through to the default arm,
 //     cancelledNow=false, no second release.
 //

@@ -78,7 +78,9 @@ func (e *PanicError) Error() string { return "panic: " + e.Value }
 
 // Options configures a Server. The zero value gets sensible defaults.
 type Options struct {
-	// Workers is the routing worker pool size (default 2).
+	// Workers is the routing worker pool size (default 2). Each job
+	// routes on one worker goroutine, so this is how many CPUs the
+	// service's routing uses.
 	Workers int
 	// QueueDepth bounds the FIFO job queue (default 64).
 	QueueDepth int
@@ -88,10 +90,6 @@ type Options struct {
 	// JobTimeout is the default per-job routing deadline (default 5m).
 	// A submission may shorten it but never extend it.
 	JobTimeout time.Duration
-	// ScoreWorkers is the default per-job candidate-scoring parallelism
-	// applied when a submission leaves config.workers at 0. It never
-	// changes routed results, so it is not part of the cache key.
-	ScoreWorkers int
 
 	// TerminalTTL is how long a finished/failed/cancelled job stays
 	// addressable after reaching its terminal state (default 15m;
@@ -214,10 +212,6 @@ type JobConfig struct {
 	Order           string  `json:"order,omitempty"` // "", "slack", "index", "hpwl", "fanout"
 	NoFeedReroute   bool    `json:"no_feed_reroute,omitempty"`
 	GreedyChannels  bool    `json:"greedy_channels,omitempty"`
-	// Workers is the candidate-scoring worker count inside one routing run
-	// (0 = one per CPU, 1 = sequential). The routed result is byte-identical
-	// for every value, so it is safe in the cache key.
-	Workers int `json:"workers,omitempty"`
 	// Alpha and TargetTracks tune the per-net engines (sequential,
 	// steiner): congestion penalty scale (0 = engine default 0.35) and
 	// the per-channel density target (0 = derived from demand). The
@@ -239,9 +233,6 @@ func (jc JobConfig) validate() error {
 	if jc.MaxPasses < 0 {
 		return fmt.Errorf("max_passes %d must not be negative", jc.MaxPasses)
 	}
-	if jc.Workers < 0 {
-		return fmt.Errorf("workers %d must not be negative", jc.Workers)
-	}
 	if math.IsNaN(jc.Alpha) || math.IsInf(jc.Alpha, 0) || jc.Alpha < 0 {
 		return fmt.Errorf("alpha %v must be a finite non-negative number", jc.Alpha)
 	}
@@ -261,7 +252,6 @@ func (jc JobConfig) toEngine() (engine.Config, error) {
 		SkipImprovement: jc.SkipImprovement,
 		MaxPasses:       jc.MaxPasses,
 		NoFeedReroute:   jc.NoFeedReroute,
-		Workers:         jc.Workers,
 		Alpha:           jc.Alpha,
 		TargetTracks:    jc.TargetTracks,
 	}
@@ -532,9 +522,6 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResult, error) {
 	if err != nil {
 		return SubmitResult{}, err
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = s.opts.ScoreWorkers
-	}
 	timeout := s.opts.JobTimeout
 	if t := time.Duration(req.TimeoutMs) * time.Millisecond; t > 0 && t < timeout {
 		timeout = t
@@ -625,13 +612,17 @@ func (s *Server) Jobs() []Status {
 // running one is interrupted (its worker records the final state). The
 // returned bool is false for unknown IDs.
 func (s *Server) Cancel(id string) (Status, bool) {
-	j, ok := s.Job(id)
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	if ok {
+		if _, cancelledNow := j.requestCancel(); cancelledNow {
+			s.metrics.cancelled.Add(1)
+			s.jobFinishedLocked(j)
+		}
+	}
+	s.mu.Unlock()
 	if !ok {
 		return Status{}, false
-	}
-	if _, cancelledNow := j.requestCancel(); cancelledNow {
-		s.metrics.cancelled.Add(1)
-		s.jobFinished(j)
 	}
 	return j.Snapshot(), true
 }
@@ -700,16 +691,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// jobFinished releases a terminal job's dedupe slot (so the next
+// jobFinishedLocked releases a terminal job's dedupe slot (so the next
 // identical submission starts a fresh run instead of wedging on a dead
-// job) and registers it with the retention policy.
-func (s *Server) jobFinished(j *Job) {
-	s.mu.Lock()
+// job) and registers it with the retention policy; s.mu must be held.
+//
+// Every terminal transition (j.finish, or requestCancel on a queued job)
+// runs under s.mu together with this call, so a client woken by Done()
+// that resubmits at once finds the slot free and, for a finished job,
+// the result cached. The lock order is s.mu before j.mu everywhere.
+func (s *Server) jobFinishedLocked(j *Job) {
 	if s.inflight[j.Hash] == j {
 		delete(s.inflight, j.Hash)
 	}
 	s.noteTerminalLocked(j)
-	s.mu.Unlock()
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -741,20 +735,18 @@ func (s *Server) runJob(j *Job) {
 		s.finishJob(j, err)
 		return
 	}
+	s.mu.Lock()
+	// Publish the result before the job turns terminal. The result
+	// record lands before the terminal record claiming "done": a crash
+	// between the two downgrades the job to failed at replay instead of
+	// advertising a result that is not on disk.
+	s.cache.put(j.Hash, payload, phases)
+	s.journalResultLocked(j.Hash, j.engName, payload, phases)
 	if j.finish(Done, "", "", payload, phases) {
 		s.metrics.completed.Add(1)
 		s.metrics.observeJob(j.engName, time.Since(start), phases)
 	}
-	s.mu.Lock()
-	s.cache.put(j.Hash, payload, phases)
-	if s.inflight[j.Hash] == j {
-		delete(s.inflight, j.Hash)
-	}
-	// The result record lands before the terminal record claiming
-	// "done": a crash between the two downgrades the job to failed at
-	// replay instead of advertising a result that is not on disk.
-	s.journalResultLocked(j.Hash, j.engName, payload, phases)
-	s.noteTerminalLocked(j)
+	s.jobFinishedLocked(j)
 	s.mu.Unlock()
 }
 
@@ -806,6 +798,7 @@ func (s *Server) finishJob(j *Job, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		msg = "deadline exceeded: " + msg
 	}
+	s.mu.Lock()
 	if j.finish(st, msg, stack, nil, nil) {
 		if st == Cancelled {
 			s.metrics.cancelled.Add(1)
@@ -813,7 +806,8 @@ func (s *Server) finishJob(j *Job, err error) {
 			s.metrics.failed.Add(1)
 		}
 	}
-	s.jobFinished(j)
+	s.jobFinishedLocked(j)
+	s.mu.Unlock()
 }
 
 // buildPayload renders every response form from a finished routing. The

@@ -90,7 +90,7 @@ func TestSubmitPayloadRoundTrip(t *testing.T) {
 		{nil, 0, nil},
 		{[]byte(`{}`), 0, []byte("ckt")},
 		{nil, 60000, []byte("a circuit\nwith lines\n")},
-		{[]byte(`{"workers":4}`), 1, bytes.Repeat([]byte("x"), 10000)},
+		{[]byte(`{"max_passes":4}`), 1, bytes.Repeat([]byte("x"), 10000)},
 	}
 	for i, c := range cases {
 		cfg, ms, ckt, err := DecodeSubmit(EncodeSubmit(c.cfg, c.timeout, c.circuit))

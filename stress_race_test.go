@@ -1,15 +1,13 @@
 // Race and aliasing stress for the pooled-workspace routing engine. The
-// zero-allocation hot path leans on reused scratch buffers (per-router
-// workspaces, the shared scoring worker pool), so the two failure modes
-// worth a dedicated regression are (1) concurrent routes racing on a
-// shared pool and (2) a later route mutating an earlier route's
-// still-live result through a leaked backing array. Run with -race to
-// arm the first check.
+// zero-allocation hot path leans on reused per-router scratch buffers,
+// so the two failure modes worth a dedicated regression are (1)
+// concurrent routes racing on state one of them should own alone and
+// (2) a later route mutating an earlier route's still-live result
+// through a leaked backing array. Run with -race to arm the first check.
 package repro_test
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -33,87 +31,43 @@ func stressCircuit(t *testing.T) *circuit.Circuit {
 }
 
 // TestConcurrentWorkerCountsIdentical routes the same circuit from four
-// goroutines at once, one per worker-pool size, and requires every run to
-// produce byte-identical routedb JSON. Concurrent routers share the
-// global workpool, so under -race this doubles as the data-race detector
-// for the shared scoring workers. The
-// routes run concurrently; fingerprinting happens after the join so no
-// goroutine touches testing.T.
+// goroutines at once, as the service's job pool runs routers side by
+// side, and requires every run to produce byte-identical routedb JSON.
+// Under -race it doubles as the data-race detector for routers running
+// concurrently. The routes run concurrently; fingerprinting happens after
+// the join so no goroutine touches testing.T. (The name predates the
+// removal of the per-run worker count.)
 func TestConcurrentWorkerCountsIdentical(t *testing.T) {
 	ckt := stressCircuit(t)
-	workerCounts := []int{1, 2, 4, 8}
+	const routers = 4
+	cfg := core.Config{UseConstraints: true}
 	for round := 0; round < 2; round++ {
-		results := make([]*core.Result, len(workerCounts))
-		errs := make([]error, len(workerCounts))
+		var results [routers]*core.Result
+		var errs [routers]error
 		var wg sync.WaitGroup
-		for i, w := range workerCounts {
+		for i := range results {
 			wg.Add(1)
-			go func(i, w int) {
+			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = core.Route(ckt, core.Config{UseConstraints: true, Workers: w})
-			}(i, w)
+				results[i], errs[i] = core.Route(ckt, cfg)
+			}(i)
 		}
 		wg.Wait()
 		var want []byte
-		for i, w := range workerCounts {
+		for i, res := range results {
 			if errs[i] != nil {
-				t.Fatalf("round %d: workers=%d: %v", round, w, errs[i])
+				t.Fatalf("round %d: router %d: %v", round, i, errs[i])
 			}
-			got := fingerprint(t, results[i])
+			got := fingerprint(t, res)
 			if i == 0 {
 				want = got
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d: workers=%d routed differently from workers=%d (%d vs %d bytes)",
-					round, w, workerCounts[0], len(got), len(want))
+				t.Fatalf("round %d: router %d routed differently from router 0 (%d vs %d bytes)",
+					round, i, len(got), len(want))
 			}
 		}
-	}
-}
-
-// TestShardWorkerMatrixIdentical is the worker matrix of the initial
-// routing's single argmin schedule: on every data set, routing with
-// workers ∈ {1, 2, 8} must produce routedb bytes identical to the fully
-// sequential route (workers=1). Initial routing runs as one region — one
-// selectEdge argmin per deletion — so the matrix has the single row
-// shards=1; a scheduling leak in the parallel rescoring shows up here as
-// a byte diff.
-func TestShardWorkerMatrixIdentical(t *testing.T) {
-	names := gen.DatasetNames()
-	if testing.Short() {
-		names = names[:1]
-	}
-	for _, ds := range names {
-		t.Run(ds, func(t *testing.T) {
-			p, err := gen.Dataset(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ckt, err := gen.Generate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := core.Route(ckt, core.Config{UseConstraints: true, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fingerprint(t, seq)
-			t.Run("shards=1", func(t *testing.T) {
-				for _, w := range []int{1, 2, 8} {
-					t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-						res, err := core.Route(ckt, core.Config{UseConstraints: true, Workers: w})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := fingerprint(t, res); !bytes.Equal(got, want) {
-							t.Fatalf("workers=%d routed differently from the sequential route (%d vs %d bytes)",
-								w, len(got), len(want))
-						}
-					})
-				}
-			})
-		})
 	}
 }
 
@@ -125,7 +79,7 @@ func TestShardWorkerMatrixIdentical(t *testing.T) {
 // not mutated through any backing array the identity check missed.
 func TestConsecutiveRoutesShareNoBackingArrays(t *testing.T) {
 	ckt := stressCircuit(t)
-	cfg := core.Config{UseConstraints: true, Workers: 2}
+	cfg := core.Config{UseConstraints: true}
 
 	resA, err := core.Route(ckt, cfg)
 	if err != nil {
