@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chanroute"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/density"
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/feed"
 	"repro/internal/gen"
@@ -421,10 +423,10 @@ func BenchmarkBaselineSequential(b *testing.B) {
 	})
 	b.Run("sequential", func(b *testing.B) {
 		var delay float64
-		var res *seqroute.Result
+		var res *engine.Result
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = seqroute.Route(ckt, seqroute.Config{UseConstraints: true})
+			res, err = seqroute.Route(context.Background(), ckt, engine.Config{UseConstraints: true})
 			if err != nil {
 				b.Fatal(err)
 			}

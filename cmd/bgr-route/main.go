@@ -10,12 +10,11 @@
 //	bgr-route -dataset C1P1 -fig 4 -channel 2
 //	bgr-route -i design.ckt -fig 3 -net n0042
 //	bgr-route -i design.ckt -elmore -r 0.0005 -trace
-//	bgr-route -i design.ckt -engine steiner
+//	bgr-route -i design.ckt -engine sequential
 //	bgr-route -wire 127.0.0.1:8081 -i design.ckt -timing
 //
 // -engine selects the routing engine: "concurrent" (the paper's router,
-// default), "sequential" (net-at-a-time baseline) or "steiner"
-// (timing-constrained cost-distance Steiner trees). It works both
+// default) or "sequential" (net-at-a-time baseline). It works both
 // locally and with -wire.
 //
 // With -wire the circuit is not routed locally: it is submitted to a
@@ -50,7 +49,6 @@ import (
 	// list them on a bad name).
 	_ "repro/internal/core"
 	_ "repro/internal/seqroute"
-	_ "repro/internal/steiner"
 )
 
 func main() {
@@ -74,7 +72,7 @@ func main() {
 		congest = flag.Bool("congestion", false, "print the per-channel congestion table")
 		phases  = flag.Bool("phases", false, "print the per-phase wall-clock breakdown")
 		wireTo  = flag.String("wire", "", "route remotely: submit to a bgr-serve wire listener at this address")
-		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential, steiner")
+		engName = flag.String("engine", "", "routing engine: concurrent (default), sequential")
 	)
 	flag.Parse()
 

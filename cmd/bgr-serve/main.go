@@ -33,7 +33,6 @@ import (
 	// config field (docs/SERVICE.md). The concurrent default comes in
 	// with package service itself.
 	_ "repro/internal/seqroute"
-	_ "repro/internal/steiner"
 )
 
 func main() {

@@ -23,7 +23,7 @@ func newTestRouter(t *testing.T, ckt *circuit.Circuit, cfg Config) *router {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order = slackOrder(dg0)
+		order = dg0.SlackOrder()
 	}
 	fr, err := feed.Assign(ckt, order)
 	if err != nil {

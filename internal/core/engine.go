@@ -23,7 +23,7 @@ type Result = engine.Result
 
 // fromShared maps the shared engine configuration onto this package's
 // Config. The concurrent engine has no use for Alpha/TargetTracks (those
-// drive the per-net engines) and exposes its ablation switches
+// drive the sequential engine) and exposes its ablation switches
 // (NoTentativeCache, ArbitraryNetOrder) only on its own Config.
 func fromShared(cfg engine.Config) Config {
 	return Config{
@@ -46,10 +46,6 @@ func fromShared(cfg engine.Config) Config {
 type concurrentEngine struct{}
 
 func (concurrentEngine) Name() string { return engine.DefaultName }
-
-func (concurrentEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Progress: true, ECO: true, Phases: true}
-}
 
 func (concurrentEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
 	res, err := RouteCtx(ctx, ckt, fromShared(cfg))

@@ -24,7 +24,7 @@ func netOrder(ckt *circuit.Circuit, cfg Config) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		return slackOrder(dg0), nil
+		return dg0.SlackOrder(), nil
 	case OrderIndex:
 		return nil, nil
 	case OrderHPWL:

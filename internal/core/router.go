@@ -300,24 +300,8 @@ func (r *router) liveViolations() int {
 	if r.tm == nil {
 		return 0
 	}
-	v := 0
-	for p := range r.tm.Cons {
-		if r.tm.Cons[p].Margin < 0 {
-			v++
-		}
-	}
+	_, v := r.tm.Summary()
 	return v
-}
-
-// slackOrder returns net indices ordered by ascending static slack.
-func slackOrder(dg *dgraph.Graph) []int {
-	slacks := dg.NetSlacks()
-	order := make([]int, len(slacks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return slacks[order[a]] < slacks[order[b]] })
-	return order
 }
 
 // initNetState allocates the per-net router state shared by Route's setup

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/circuit"
 )
@@ -629,6 +630,20 @@ func (t *Timing) WorstViolation() (int, float64) {
 	return at, worst
 }
 
+// Summary returns the worst constrained-path delay over all constraints
+// (0 when there are none) and the number of violated constraints.
+func (t *Timing) Summary() (worst float64, violations int) {
+	for p := range t.Cons {
+		if t.Cons[p].Worst > worst {
+			worst = t.Cons[p].Worst
+		}
+		if t.Cons[p].Margin < 0 {
+			violations++
+		}
+	}
+	return worst, violations
+}
+
 // NetSlacks runs the zero-interconnect analysis of §3.1 and returns, per
 // net, the smallest path slack of any constraint arc the net lies on
 // (+Inf for nets on no constrained path). The router orders feedthrough
@@ -656,4 +671,16 @@ func (g *Graph) NetSlacks() []float64 {
 		}
 	}
 	return slacks
+}
+
+// SlackOrder returns the net indices ordered by ascending NetSlacks, ties
+// in index order: the paper's feedthrough-assignment order (§3.1).
+func (g *Graph) SlackOrder() []int {
+	slacks := g.NetSlacks()
+	order := make([]int, len(slacks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return slacks[order[a]] < slacks[order[b]] })
+	return order
 }

@@ -1,8 +1,8 @@
 // Cross-engine conformance suite: every registered engine must produce a
 // valid routing database, be byte-deterministic from run to run, and
-// (when it claims the Progress capability) report monotone progress
-// ending in a Done event. New engines get this coverage by being blank-
-// imported below — the tests iterate engine.Names().
+// report monotone progress ending in a Done event. New engines get this
+// coverage by being blank-imported below — the tests iterate
+// engine.Names().
 package engine_test
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	_ "repro/internal/core"
 	_ "repro/internal/seqroute"
-	_ "repro/internal/steiner"
 )
 
 func loadDataset(t *testing.T, name string) *circuit.Circuit {
@@ -111,20 +110,12 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestConformanceProgress checks the Progress contract on engines that
-// claim the capability: at least one snapshot arrives, cumulative
-// counters never decrease within a phase, and the final event has Done
-// set.
+// TestConformanceProgress checks the Progress contract on every engine:
+// at least one snapshot arrives, cumulative counters never decrease
+// within a phase, and the final event has Done set.
 func TestConformanceProgress(t *testing.T) {
 	ckt := loadDataset(t, gen.DatasetNames()[0])
 	for _, eng := range engine.Names() {
-		e, ok := engine.Get(eng)
-		if !ok {
-			t.Fatalf("engine %q not registered", eng)
-		}
-		if !e.Capabilities().Progress {
-			continue
-		}
 		t.Run(eng, func(t *testing.T) {
 			var got []engine.Progress
 			cfg := engine.Config{

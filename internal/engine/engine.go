@@ -3,16 +3,14 @@
 // (circuit, grid, feed, rgraph, density, dgraph), the shared Config and
 // Result surface every engine speaks, and a process-wide registry.
 //
-// Three engines implement it:
+// Two engines implement it:
 //
 //   - "concurrent" (internal/core): the paper's concurrent edge-deletion
 //     router, the default. Highest quality; supports ECO re-optimization.
 //   - "sequential" (internal/seqroute): the net-at-a-time baseline the
 //     paper argues against. Fast drafts, no global margin tracking.
-//   - "steiner" (internal/steiner): timing-constrained cost-distance
-//     Steiner trees per Held & Perner — per-net trees built under delay
-//     bounds instead of deleted from redundant graphs. The middle of the
-//     quality/runtime space.
+//
+// Both deliver Config.Progress snapshots mid-route.
 //
 // Engines register themselves in init(); importing an engine package is
 // what makes it selectable. The registry is a slice, not a map, so
@@ -32,28 +30,13 @@ import (
 // paper's concurrent edge-deletion router.
 const DefaultName = "concurrent"
 
-// Capabilities declares what a registered engine supports, so callers
-// (the service, conformance tests) can gate features without knowing
-// engine internals.
-type Capabilities struct {
-	// Progress: the engine delivers Config.Progress snapshots mid-route.
-	Progress bool
-	// ECO: the engine supports incremental re-optimization of a finished
-	// result (core.ReOptimize-style).
-	ECO bool
-	// Phases: the engine fills Result.Phases with per-phase statistics.
-	Phases bool
-}
-
 // Engine is one global-routing algorithm behind the shared substrate.
 // Implementations must be stateless values: Route may be called
 // concurrently from many service workers, and each call routes on its
 // calling goroutine.
 type Engine interface {
-	// Name is the registry key ("concurrent", "sequential", "steiner").
+	// Name is the registry key ("concurrent", "sequential").
 	Name() string
-	// Capabilities reports what this engine supports.
-	Capabilities() Capabilities
 	// Route routes a validated circuit under cfg. The run aborts between
 	// routing steps when ctx is cancelled. Results must be deterministic:
 	// byte-identical routedb output for identical (circuit, cfg) inputs.

@@ -5,6 +5,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dgraph"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/lowerbound"
 	"repro/internal/seqroute"
@@ -97,14 +99,7 @@ func FinalDelay(ckt *circuit.Circuit, netLenUm []float64) (worst float64, violat
 	tm := dg.NewTiming()
 	tm.SetLumped(netLenUm)
 	tm.Analyze()
-	for p := range tm.Cons {
-		if tm.Cons[p].Worst > worst {
-			worst = tm.Cons[p].Worst
-		}
-		if tm.Cons[p].Margin < 0 {
-			violations++
-		}
-	}
+	worst, violations = tm.Summary()
 	return worst, violations, nil
 }
 
@@ -211,7 +206,7 @@ func Summarize(rows []*Row) Headline {
 // circuit (same measurement pipeline as RunCircuit).
 func RunBaseline(ckt *circuit.Circuit) (Run, error) {
 	start := time.Now()
-	res, err := seqroute.Route(ckt, seqroute.Config{UseConstraints: true})
+	res, err := seqroute.Route(context.Background(), ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		return Run{}, err
 	}

@@ -141,7 +141,6 @@ var deterministicPkgs = map[string]bool{
 	"chanroute": true,
 	"feed":      true,
 	"seqroute":  true,
-	"steiner":   true,
 	"routedb":   true,
 }
 

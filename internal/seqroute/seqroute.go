@@ -13,18 +13,18 @@
 // on. Earlier nets never see later nets' congestion — the fundamental
 // weakness the paper's concurrent scheme removes.
 //
-// Config defaults (applied through withDefaults, in one place): an unset
-// Alpha is 0.35, and an unset TargetTracks is derived from the average
-// per-channel demand of the (possibly widened) circuit — total
-// half-perimeter column demand spread over channels × columns, floored
-// at one track.
+// Its one entry point, Route, speaks the shared engine API (engine.Config
+// in, engine.Result out). Defaults (applied through withDefaults, in one
+// place): an unset Alpha is 0.35, and an unset TargetTracks is derived
+// from the average per-channel demand of the (possibly widened) circuit —
+// total half-perimeter column demand spread over channels × columns,
+// floored at one track.
 package seqroute
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/circuit"
@@ -32,31 +32,13 @@ import (
 	"repro/internal/dgraph"
 	"repro/internal/engine"
 	"repro/internal/feed"
-	"repro/internal/grid"
 	"repro/internal/rgraph"
 )
-
-// Config tunes the baseline.
-type Config struct {
-	// UseConstraints orders nets by static slack (as the paper's router
-	// does); without it nets route in index order.
-	UseConstraints bool
-	// Alpha scales the congestion penalty; 0 means the default of 0.35.
-	// (Pure shortest paths need a negative sentinel nobody uses; the
-	// experiments always want some congestion pressure.)
-	Alpha float64
-	// TargetTracks is the per-channel density above which congestion
-	// starts to cost. 0 derives it from the average demand.
-	TargetTracks int
-	// Progress, when non-nil, receives a snapshot at phase start, after
-	// every committed net, and a final Done snapshot.
-	Progress func(engine.Progress)
-}
 
 // withDefaults resolves the zero-value knobs — the single place defaults
 // are applied. It runs after feedthrough assignment so the demand-derived
 // TargetTracks sees the widened chip.
-func (cfg Config) withDefaults(ckt *circuit.Circuit) Config {
+func withDefaults(cfg engine.Config, ckt *circuit.Circuit) engine.Config {
 	if cfg.Alpha == 0 { //bgr:allow floateq -- zero-value Config sentinel: an unset Alpha is exactly 0
 		cfg.Alpha = 0.35
 	}
@@ -66,30 +48,13 @@ func (cfg Config) withDefaults(ckt *circuit.Circuit) Config {
 	return cfg
 }
 
-// Result mirrors the concurrent router's result shape (the subset the
-// experiments need).
-type Result struct {
-	Ckt            *circuit.Circuit
-	Geo            *grid.Geometry
-	Feeds          [][]rgraph.FeedPos
-	Graphs         []*rgraph.Graph
-	WirelenUm      []float64
-	TotalWirelenUm float64
-	// Timing is the final analysis over the committed trees.
-	Timing       *dgraph.Timing
-	Dens         *density.State
-	Delay        float64 // worst constrained-path delay, estimated
-	AddedPitches int
-}
-
-// Route runs the baseline.
-func Route(ckt *circuit.Circuit, cfg Config) (*Result, error) {
-	return RouteCtx(context.Background(), ckt, cfg)
-}
-
-// RouteCtx runs the baseline, aborting between nets when ctx is
-// cancelled.
-func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, error) {
+// Route runs the baseline, aborting between nets when ctx is cancelled.
+// It reads UseConstraints (nets route in ascending static slack instead
+// of index order), Alpha, TargetTracks and Progress (a snapshot at phase
+// start, after every committed net, and a final Done snapshot); the
+// other fields of cfg drive the concurrent engine only.
+func Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
+	start := time.Now() //bgr:allow clockuse -- profiling only
 	if err := ckt.Validate(); err != nil {
 		return nil, fmt.Errorf("seqroute: %w", err)
 	}
@@ -99,19 +64,20 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		order = slackOrder(dg0)
+		order = dg0.SlackOrder()
 	}
 	fr, err := feed.Assign(ckt, order)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(fr.Ckt)
-	res := &Result{
+	cfg = withDefaults(cfg, fr.Ckt)
+	res := &engine.Result{
 		Ckt: fr.Ckt, Geo: fr.Geo, Feeds: fr.Feeds,
 		Graphs:       make([]*rgraph.Graph, len(fr.Ckt.Nets)),
 		WirelenUm:    make([]float64, len(fr.Ckt.Nets)),
 		Dens:         density.New(fr.Ckt.Channels(), fr.Ckt.Cols),
 		AddedPitches: fr.AddedPitches,
+		Engine:       name,
 	}
 
 	full := order
@@ -157,27 +123,21 @@ func RouteCtx(ctx context.Context, ckt *circuit.Circuit, cfg Config) (*Result, e
 	tm.SetLumped(res.WirelenUm)
 	tm.Analyze()
 	res.Timing = tm
-	violations := 0
-	for p := range tm.Cons {
-		if tm.Cons[p].Worst > res.Delay {
-			res.Delay = tm.Cons[p].Worst
-		}
-		if tm.Cons[p].Margin < 0 {
-			violations++
-		}
-	}
+	var violations int
+	res.Delay, violations = tm.Summary()
 	for _, l := range res.WirelenUm {
 		res.TotalWirelenUm += l
 	}
 	if cfg.Progress != nil {
 		cfg.Progress(engine.Progress{Phase: "route", Accepted: routed, Violations: violations, Done: true})
 	}
+	res.Duration = time.Since(start) //bgr:allow clockuse -- profiling only
 	return res, nil
 }
 
 // routeNet routes one net by a congestion-weighted tentative tree and
 // commits it: every edge outside the selected tree is discarded.
-func routeNet(res *Result, n int, cfg Config) error {
+func routeNet(res *engine.Result, n int, cfg engine.Config) error {
 	g, err := rgraph.Build(res.Ckt, res.Geo, n, res.Feeds[n])
 	if err != nil {
 		return err
@@ -251,50 +211,16 @@ func estimateTarget(ckt *circuit.Circuit) int {
 	return per
 }
 
-func slackOrder(dg *dgraph.Graph) []int {
-	slacks := dg.NetSlacks()
-	order := make([]int, len(slacks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return slacks[order[a]] < slacks[order[b]] })
-	return order
-}
+// name is the baseline's registry key.
+const name = "sequential"
 
-// sequentialEngine adapts the baseline to the engine registry.
+// sequentialEngine registers the baseline with the engine registry.
 type sequentialEngine struct{}
 
-func (sequentialEngine) Name() string { return "sequential" }
-
-func (sequentialEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Progress: true}
-}
+func (sequentialEngine) Name() string { return name }
 
 func (sequentialEngine) Route(ctx context.Context, ckt *circuit.Circuit, cfg engine.Config) (*engine.Result, error) {
-	start := time.Now() //bgr:allow clockuse -- profiling only
-	res, err := RouteCtx(ctx, ckt, Config{
-		UseConstraints: cfg.UseConstraints,
-		Alpha:          cfg.Alpha,
-		TargetTracks:   cfg.TargetTracks,
-		Progress:       cfg.Progress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &engine.Result{
-		Engine:         "sequential",
-		Ckt:            res.Ckt,
-		Geo:            res.Geo,
-		Feeds:          res.Feeds,
-		Graphs:         res.Graphs,
-		WirelenUm:      res.WirelenUm,
-		TotalWirelenUm: res.TotalWirelenUm,
-		Timing:         res.Timing,
-		Delay:          res.Delay,
-		Dens:           res.Dens,
-		AddedPitches:   res.AddedPitches,
-		Duration:       time.Since(start), //bgr:allow clockuse -- profiling only
-	}, nil
+	return Route(ctx, ckt, cfg)
 }
 
 func init() { engine.Register(sequentialEngine{}) }

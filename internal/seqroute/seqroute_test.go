@@ -1,17 +1,19 @@
 package seqroute
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chanroute"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/verify"
 )
 
 func TestRouteSampleSmall(t *testing.T) {
-	res, err := Route(circuit.SampleSmall(), Config{UseConstraints: true})
+	res, err := Route(context.Background(), circuit.SampleSmall(), engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestBaselineVersusConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Route(ckt, Config{UseConstraints: true})
+	seq, err := Route(context.Background(), ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +81,15 @@ func TestCongestionAvoidance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure, err := Route(ckt, Config{UseConstraints: true, Alpha: 1e-9})
+	pure, err := Route(context.Background(), ckt, engine.Config{UseConstraints: true, Alpha: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	avoid, err := Route(ckt, Config{UseConstraints: true, Alpha: 2.0})
+	avoid, err := Route(context.Background(), ckt, engine.Config{UseConstraints: true, Alpha: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxCM := func(r *Result) int {
+	maxCM := func(r *engine.Result) int {
 		_, cm := r.Dens.MaxCM()
 		return cm
 	}
@@ -113,7 +115,7 @@ func TestBaselinePassesStructuralAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Route(ckt, Config{UseConstraints: true})
+	res, err := Route(context.Background(), ckt, engine.Config{UseConstraints: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	// The service itself only guarantees the default (concurrent) engine;
 	// these tests exercise selection across the full registry.
 	_ "repro/internal/seqroute"
-	_ "repro/internal/steiner"
 )
 
 // TestEngineSelectionHTTP submits the same circuit to each registered
@@ -30,7 +29,7 @@ func TestEngineSelectionHTTP(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	for _, eng := range []string{"", "sequential", "steiner"} {
+	for _, eng := range []string{"", "sequential"} {
 		body := map[string]any{"circuit": ckt}
 		if eng != "" {
 			body["config"] = map[string]any{"engine": eng}
@@ -53,7 +52,7 @@ func TestEngineSelectionHTTP(t *testing.T) {
 	}
 
 	m := svc.Metrics()
-	for _, eng := range []string{"concurrent", "sequential", "steiner"} {
+	for _, eng := range []string{"concurrent", "sequential"} {
 		if m.JobsByEngine[eng] != 1 {
 			t.Fatalf("jobs_by_engine[%s] = %d, want 1 (%v)", eng, m.JobsByEngine[eng], m.JobsByEngine)
 		}
@@ -83,7 +82,7 @@ func TestEngineUnknownHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown engine: status %d, want 400: %s", resp.StatusCode, msg)
 	}
-	for _, eng := range []string{"bogus", "concurrent", "sequential", "steiner"} {
+	for _, eng := range []string{"bogus", "concurrent", "sequential"} {
 		if !strings.Contains(string(msg), eng) {
 			t.Fatalf("rejection message %q does not mention %q", msg, eng)
 		}
@@ -103,7 +102,7 @@ func TestEngineWireV2(t *testing.T) {
 	addr := startWire(t, svc)
 	c := dialWire(t, addr)
 
-	rep, err := c.SubmitEngine(ckt, nil, "steiner", 0)
+	rep, err := c.SubmitEngine(ckt, nil, "sequential", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestEngineWireV2(t *testing.T) {
 	if err := json.Unmarshal(statusJSON, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != Done || st.Engine != "steiner" {
+	if st.State != Done || st.Engine != "sequential" {
 		t.Fatalf("wire v2 job: state=%s engine=%q", st.State, st.Engine)
 	}
 
@@ -126,14 +125,14 @@ func TestEngineWireV2(t *testing.T) {
 	if !strings.Contains(re.Msg, "concurrent") {
 		t.Fatalf("wire rejection %q does not list registered engines", re.Msg)
 	}
-	if _, err := c.SubmitEngine(ckt, []byte(`{"engine":"sequential"}`), "steiner", 0); !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
+	if _, err := c.SubmitEngine(ckt, []byte(`{"engine":"concurrent"}`), "sequential", 0); !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
 		t.Fatalf("conflicting engines: %v", err)
 	}
 
 	// The same config expressed in the JSON alone (v1-style) lands on the
 	// same cache slot as the frame field: this resubmission must be a
 	// cache hit.
-	rep2, err := c.Submit(ckt, []byte(`{"engine":"steiner","use_constraints":true}`), 0)
+	rep2, err := c.Submit(ckt, []byte(`{"engine":"sequential","use_constraints":true}`), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

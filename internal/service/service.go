@@ -15,7 +15,7 @@
 // Each job routes with one registered engine (internal/engine), selected
 // by JobConfig.Engine; the empty string is the default concurrent
 // router, which this package links itself. Other engines are selectable
-// when the embedding binary imports them (bgr-serve imports all three).
+// when the embedding binary imports them (bgr-serve imports both).
 // Unknown engine names are rejected at admission with ErrBadEngine.
 package service
 
@@ -37,7 +37,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dgraph"
 	"repro/internal/engine"
-	"repro/internal/experiment"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/render"
@@ -200,8 +199,8 @@ func (o Options) withDefaults() Options {
 // re-warming the cache.
 type JobConfig struct {
 	// Engine names the routing engine ("" = the default "concurrent";
-	// bgr-serve also registers "sequential" and "steiner"). Unknown names
-	// are rejected at admission with ErrBadEngine.
+	// bgr-serve also registers "sequential"). Unknown names are rejected
+	// at admission with ErrBadEngine.
 	Engine          string  `json:"engine,omitempty"`
 	UseConstraints  bool    `json:"use_constraints"`
 	DelayModel      string  `json:"delay_model,omitempty"` // "", "lumped", "elmore"
@@ -212,10 +211,10 @@ type JobConfig struct {
 	Order           string  `json:"order,omitempty"` // "", "slack", "index", "hpwl", "fanout"
 	NoFeedReroute   bool    `json:"no_feed_reroute,omitempty"`
 	GreedyChannels  bool    `json:"greedy_channels,omitempty"`
-	// Alpha and TargetTracks tune the per-net engines (sequential,
-	// steiner): congestion penalty scale (0 = engine default 0.35) and
-	// the per-channel density target (0 = derived from demand). The
-	// concurrent engine ignores both.
+	// Alpha and TargetTracks tune the sequential engine: congestion
+	// penalty scale (0 = engine default 0.35) and the per-channel
+	// density target (0 = derived from demand). The concurrent engine
+	// ignores both.
 	Alpha        float64 `json:"alpha,omitempty"`
 	TargetTracks int     `json:"target_tracks,omitempty"`
 }
@@ -811,8 +810,8 @@ func (s *Server) finishJob(j *Job, err error) {
 }
 
 // buildPayload renders every response form from a finished routing. The
-// timing text matches render.Handler's (report + slack histogram over the
-// post-channel-routing lengths) so the bgr-view port is byte-compatible.
+// timing text is the report plus the slack histogram over the
+// post-channel-routing lengths.
 func buildPayload(res *engine.Result, greedy bool) (*Payload, error) {
 	algo := chanroute.LeftEdge
 	if greedy {
@@ -843,11 +842,9 @@ func buildPayload(res *engine.Result, greedy bool) (*Payload, error) {
 	tm.SetLumped(cr.NetLenUm)
 	tm.Analyze()
 	timing := report.TimingReport(res.Ckt, tm, 3) + "\n" + report.SlackHistogram(res.Ckt, tm, 8)
-
-	delay, viol, err := experiment.FinalDelay(res.Ckt, cr.NetLenUm)
-	if err != nil {
-		return nil, err
-	}
+	// The summary's delay and violation count are experiment.FinalDelay's
+	// measurement, read off the same post-channel-routing analysis.
+	delay, viol := tm.Summary()
 	return &Payload{
 		RouteDB: dbJSON,
 		Timing:  timing,
